@@ -15,6 +15,7 @@ import (
 	"punctsafe/exec"
 	"punctsafe/query"
 	"punctsafe/stream"
+	"punctsafe/workload"
 )
 
 func intAttr(n string) stream.Attribute { return stream.Attribute{Name: n, Kind: stream.KindInt} }
@@ -196,5 +197,69 @@ func TestChainedPurgeAllocs(t *testing.T) {
 	}
 	if avg > 64 {
 		t.Fatalf("chained-purge cycle averages %.1f allocs, want <= 64", avg)
+	}
+}
+
+// TestPunctPathAllocs pins the punctuation path with §5.1 punctuation
+// purging on: one steady-state auction cycle (item tuple, item
+// punctuation, two bids, bid punctuation) stores both punctuations,
+// purges the item tuple and drops both punctuations again through their
+// counter-punctuations. Only the emitted elements may allocate — the two
+// result tuples, the two output punctuations, and the output slices of
+// the three pushes that emit — so the cycle's floor is 8: scheme facts,
+// counter-punctuation links, store keys and the dedup set are all
+// precomputed or reused.
+func TestPunctPathAllocs(t *testing.T) {
+	m, err := exec.NewMJoin(exec.Config{
+		Query:             workload.AuctionQuery(),
+		Schemes:           workload.AuctionSchemes(),
+		PurgePunctuations: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycleKeys = 1 << 10
+	var items, bids, itemPuncts, bidPuncts [cycleKeys]stream.Element
+	for k := range items {
+		id := stream.Int(int64(k))
+		items[k] = stream.TupleElement(stream.NewTuple(stream.Int(7), id, stream.Str("lot"), stream.Float(1)))
+		bids[k] = stream.TupleElement(stream.NewTuple(stream.Int(9), id, stream.Float(0.5)))
+		itemPuncts[k] = stream.PunctElement(stream.MustPunctuation(stream.Wildcard(), stream.Const(id), stream.Wildcard(), stream.Wildcard()))
+		bidPuncts[k] = stream.PunctElement(stream.MustPunctuation(stream.Wildcard(), stream.Const(id), stream.Wildcard()))
+	}
+	emitted := 0
+	push := func(input int, el stream.Element) {
+		out, err := m.Push(input, el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted += len(out)
+	}
+	k := 0
+	cycle := func() {
+		i := k % cycleKeys
+		push(0, items[i])
+		push(0, itemPuncts[i])
+		push(1, bids[i])
+		push(1, bids[i])
+		push(1, bidPuncts[i])
+		k++
+	}
+	for j := 0; j < 2*cycleKeys; j++ {
+		cycle()
+	}
+	emitted = 0
+	const runs = 2000
+	avg := testing.AllocsPerRun(runs, cycle)
+	st := m.StatsSnapshot()
+	if st.TotalState() != 0 || st.TotalPunctStore() != 0 {
+		t.Fatalf("cycle left %d tuples and %d punctuations stored", st.TotalState(), st.TotalPunctStore())
+	}
+	// AllocsPerRun runs the cycle once more to warm up.
+	if want := 4 * (runs + 1); emitted != want {
+		t.Fatalf("cycles emitted %d elements, want %d (2 results + 2 punctuations each)", emitted, want)
+	}
+	if avg > 8 {
+		t.Fatalf("punctuation-path auction cycle averages %.2f allocs, want <= 8 (emitted elements only)", avg)
 	}
 }

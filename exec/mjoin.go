@@ -130,6 +130,12 @@ type MJoin struct {
 	predsTouching [][]query.Predicate
 	// partners[i] caches the streams sharing a predicate with input i.
 	partners [][]int
+	// links[i][k] is the compiled §5.1 counter-punctuation view of scheme
+	// k of input i's punctuation store; removedLinks[i][p] that of
+	// predsTouching[i][p] for removed input-i tuples (see
+	// compilePunctLinks).
+	links        [][]schemeLinks
+	removedLinks [][]removedLink
 	// pr and pg hold the operator's reusable probe and purge scratch;
 	// steady-state probing and purging allocate nothing beyond the result
 	// tuples themselves.
@@ -152,12 +158,13 @@ type probeScratch struct {
 	candB [][]tupleID
 	coldA [][]tupleID
 	coldB [][]tupleID
-	// consts is the promise-check scratch.
-	consts []stream.Value
 }
 
+// pendingPunct is a stored punctuation awaiting a purge round, with the
+// index of the scheme it instantiates in its input's store.
 type pendingPunct struct {
 	input int
+	si    int
 	p     stream.Punctuation
 }
 
@@ -208,6 +215,7 @@ func NewMJoin(cfg Config) (*MJoin, error) {
 		m.predsTouching[i] = q.PredicatesTouching(i)
 		m.partners[i] = partnerStreamsOf(m.predsTouching[i], i)
 	}
+	m.compilePunctLinks()
 	m.pr = probeScratch{
 		bound:   make([]stream.Tuple, q.N()),
 		isBound: make([]bool, q.N()),
@@ -446,11 +454,12 @@ func (m *MJoin) pushPunct(out []stream.Element, input int, p stream.Punctuation)
 		// punctuations" filtering of §1.
 		return out, nil
 	}
+	pp := pendingPunct{input: input, si: entry.si, p: p}
 	if m.cfg.PurgeBatch <= 1 {
-		m.pg.one = append(m.pg.one[:0], pendingPunct{input: input, p: p})
+		m.pg.one = append(m.pg.one[:0], pp)
 		out = m.purgeRound(out, m.pg.one)
 	} else {
-		m.pending = append(m.pending, pendingPunct{input: input, p: p})
+		m.pending = append(m.pending, pp)
 	}
 	// Output punctuation propagation for the freshly arrived punctuation.
 	if !m.cfg.DisableOutputPuncts {

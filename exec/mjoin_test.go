@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"punctsafe/query"
@@ -662,5 +663,160 @@ func TestUnsafeInputGrows(t *testing.T) {
 	}
 	if m.Stats().StateSize[1] != 100 {
 		t.Fatalf("S state = %d, want 100 (unpurgeable)", m.Stats().StateSize[1])
+	}
+}
+
+// TestCounterPunctEdgeCases is the §5.1 counter-punctuation edge-case
+// table: each case feeds a short script and checks which punctuations
+// the stores still hold and how many were purged per input.
+func TestCounterPunctEdgeCases(t *testing.T) {
+	type step struct {
+		input int
+		el    stream.Element
+	}
+	T := func(input int, vals ...int64) step { return step{input, stream.TupleElement(tup(vals...))} }
+	P := func(input int, vals ...int64) step { return step{input, stream.PunctElement(punct(vals...))} }
+	build := func(t *testing.T, streams [][]string, joins ...[2]string) *query.CJQ {
+		t.Helper()
+		b := query.NewBuilder()
+		for _, s := range streams {
+			b.AddStream(mustSchema(s[0], s[1:]...))
+		}
+		for _, j := range joins {
+			b.Join(j[0], j[1])
+		}
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	rs := [][]string{{"R", "A", "B"}, {"S", "X", "Y"}}
+	cases := []struct {
+		name      string
+		streams   [][]string
+		joins     [][2]string
+		schemes   *stream.SchemeSet
+		lifespan  uint64
+		steps     []step
+		wantStore []int
+		// wantPurged is PunctsPurged per input; wantMax the high-water
+		// mark of the total store size, sampled after each element.
+		wantPurged []uint64
+		wantMax    int
+	}{
+		{
+			// R.A=S.X ∧ R.B=S.X: R(1,2) maps 1 and 2 onto S.X, so it can
+			// never match an S tuple and the S counter-punctuations do
+			// not speak for it — it stays, and so do S(1) and S(2).
+			// R(3,3) maps consistently: it and S(3) certify each other.
+			name:    "contradictory mapping",
+			streams: rs,
+			joins:   [][2]string{{"R.A", "S.X"}, {"R.B", "S.X"}},
+			schemes: stream.NewSchemeSet(
+				stream.MustScheme("R", true, true),
+				stream.MustScheme("S", true, false),
+			),
+			steps:      []step{P(1, 1, -1), P(1, 2, -1), P(1, 3, -1), P(0, 1, 2), P(0, 3, 3)},
+			wantStore:  []int{1, 2},
+			wantPurged: []uint64{1, 1},
+			wantMax:    4,
+		},
+		{
+			// S(+,+) is fully determined by R's (A,B): when the T
+			// punctuation finally purges the blocking R tuple, S(1,2)'s
+			// constants are rebuilt from the removed tuple and the entry,
+			// already counter-covered by R(A=1), is dropped.
+			name:    "multi-attribute partner scheme rebuilt from removed tuple",
+			streams: [][]string{{"R", "A", "B", "C"}, {"S", "X", "Y"}, {"T", "Z", "W"}},
+			joins:   [][2]string{{"R.A", "S.X"}, {"R.B", "S.Y"}, {"R.C", "T.Z"}},
+			schemes: stream.NewSchemeSet(
+				stream.MustScheme("R", true, false, false),
+				stream.MustScheme("S", true, true),
+				stream.MustScheme("T", true, false),
+			),
+			steps:      []step{T(0, 1, 2, 3), P(1, 1, 2), P(0, 1, -1, -1), P(2, 3, -1)},
+			wantStore:  []int{1, 0, 1},
+			wantPurged: []uint64{0, 1, 0},
+			wantMax:    2,
+		},
+		{
+			// R.B joins nothing, so nothing certifies R(1,5) unneeded,
+			// even with S's counter-punctuation on R.A already stored.
+			name:    "constrained attribute joins no partner",
+			streams: rs,
+			joins:   [][2]string{{"R.A", "S.X"}},
+			schemes: stream.NewSchemeSet(
+				stream.MustScheme("R", true, true),
+				stream.MustScheme("S", true, false),
+			),
+			steps:      []step{P(1, 1, -1), P(0, 1, 5)},
+			wantStore:  []int{1, 1},
+			wantPurged: []uint64{0, 0},
+			wantMax:    2,
+		},
+		{
+			// The watermark R(<=5) counter-covers S(X=3), which goes; the
+			// watermark itself is never counter-purged.
+			name:    "watermark entries are never counter-purged",
+			streams: rs,
+			joins:   [][2]string{{"R.A", "S.X"}},
+			schemes: stream.NewSchemeSet(
+				stream.MustOrderedScheme("R", []bool{true, false}, []bool{true, false}),
+				stream.MustScheme("S", true, false),
+			),
+			steps: []step{
+				{0, stream.PunctElement(stream.MustPunctuation(stream.Leq(stream.Int(5)), stream.Wildcard()))},
+				P(1, 3, -1),
+			},
+			wantStore:  []int{1, 0},
+			wantPurged: []uint64{0, 1},
+			wantMax:    1,
+		},
+		{
+			// R(1) expires before S(1) arrives, so S(1) finds no live
+			// counter and stays. A fresh R(1) replaces the expired entry
+			// in place (the store never holds two) and both go.
+			name:    "expired entry replaced by a fresh one",
+			streams: rs,
+			joins:   [][2]string{{"R.A", "S.X"}},
+			schemes: stream.NewSchemeSet(
+				stream.MustScheme("R", true, false),
+				stream.MustScheme("S", true, false),
+			),
+			lifespan:   3,
+			steps:      []step{P(0, 1, -1), T(0, 9, 0), T(0, 9, 1), T(0, 9, 2), P(1, 1, -1), P(0, 1, -1)},
+			wantStore:  []int{0, 0},
+			wantPurged: []uint64{1, 1},
+			wantMax:    2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMJoin(Config{
+				Query:             build(t, tc.streams, tc.joins...),
+				Schemes:           tc.schemes,
+				PurgePunctuations: true,
+				PunctLifespan:     tc.lifespan,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range tc.steps {
+				if _, err := m.Push(s.input, s.el); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			st := m.Stats()
+			if !slices.Equal(st.PunctStoreSize, tc.wantStore) {
+				t.Errorf("PunctStoreSize = %v, want %v", st.PunctStoreSize, tc.wantStore)
+			}
+			if !slices.Equal(st.PunctsPurged, tc.wantPurged) {
+				t.Errorf("PunctsPurged = %v, want %v", st.PunctsPurged, tc.wantPurged)
+			}
+			if st.MaxPunctStoreSize != tc.wantMax {
+				t.Errorf("MaxPunctStoreSize = %d, want %d", st.MaxPunctStoreSize, tc.wantMax)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"punctsafe/stream"
@@ -23,8 +22,8 @@ type sid struct {
 // purgeScratch is the operator's reusable purge-path state. Like the
 // probe scratch, it exists so steady-state purge rounds allocate nothing:
 // candidate sets are per-input sorted id slices filtered in place,
-// frontiers and value sets reuse per-input buffers, and composite map
-// keys are built in a shared byte buffer.
+// frontiers and value sets reuse per-input buffers, and punctuation
+// constants are assembled in shared value buffers.
 type purgeScratch struct {
 	one     []pendingPunct // single-punctuation batch for eager rounds
 	cand    [][]tupleID    // per-input purge candidates (sorted before fixpoint)
@@ -40,22 +39,27 @@ type purgeScratch struct {
 	// frontier() constraint scratch.
 	consAttrs []int
 	consKeys  [][]stream.ValueKey
-	// purgePunctStores scratch.
-	keyBuf   []byte
-	seenKeys map[string]bool
-	victims  []punctVictim
+	// purgePunctStores scratch: the pointer-keyed dedup set, the victim
+	// list, and constant buffers for batch punctuations (batchConsts),
+	// mapped partner lookups (mapped) and counter-coverage probes
+	// (counter).
+	seenEntries map[*punctEntry]struct{}
+	victims     []punctVictim
+	batchConsts []stream.Value
+	mapped      []stream.Value
+	counter     []stream.Value
 }
 
 func (m *MJoin) initPurgeScratch() {
 	n := m.q.N()
 	m.pg = purgeScratch{
-		cand:      make([][]tupleID, n),
-		removed:   make([][]stream.Tuple, n),
-		frontiers: make([][]stream.Tuple, n),
-		covered:   make([]bool, n),
-		seen:      make(map[sid]struct{}),
-		valSeen:   make(map[stream.ValueKey]struct{}),
-		seenKeys:  make(map[string]bool),
+		cand:        make([][]tupleID, n),
+		removed:     make([][]stream.Tuple, n),
+		frontiers:   make([][]stream.Tuple, n),
+		covered:     make([]bool, n),
+		seen:        make(map[sid]struct{}),
+		valSeen:     make(map[stream.ValueKey]struct{}),
+		seenEntries: make(map[*punctEntry]struct{}),
 	}
 }
 
@@ -90,7 +94,7 @@ func (m *MJoin) purgeRound(out []stream.Element, batch []pendingPunct) []stream.
 	// Anchor tuples: stored tuples in partner states carrying a value a
 	// new punctuation constrains.
 	for _, pp := range batch {
-		for _, a := range pp.p.ConstIndexes() {
+		for _, a := range m.puncts[pp.input].idx[pp.si] {
 			pat := pp.p.Patterns[a]
 			for _, p := range m.predsTouching[pp.input] {
 				other, myAttr, otherAttr := p.Other(pp.input)
@@ -452,7 +456,8 @@ func (m *MJoin) tryEmitPunct(input int, e *punctEntry) (stream.Element, bool) {
 	if e.emitted || e.expired(m.clock) {
 		return stream.Element{}, false
 	}
-	if m.hasMatchingTuple(input, e.punct) {
+	idx := m.puncts[input].idx[e.si]
+	if m.hasMatchingTuple(input, idx, e.punct) {
 		return stream.Element{}, false
 	}
 	e.emitted = true
@@ -461,10 +466,21 @@ func (m *MJoin) tryEmitPunct(input int, e *punctEntry) (stream.Element, bool) {
 	for i := range pats {
 		pats[i] = stream.Wildcard()
 	}
-	for _, a := range e.punct.ConstIndexes() {
+	for _, a := range idx {
 		pats[m.colBase[input]+a] = e.punct.Patterns[a]
 	}
 	return stream.PunctElement(stream.MustPunctuation(pats...)), true
+}
+
+// tupleConsts projects a tuple onto a scheme's punctuatable positions,
+// into the shared constants scratch.
+func (m *MJoin) tupleConsts(idx []int, u stream.Tuple) []stream.Value {
+	consts := m.pg.consts[:0]
+	for _, a := range idx {
+		consts = append(consts, u.Values[a])
+	}
+	m.pg.consts = consts
+	return consts
 }
 
 // emitForRemoved re-tests exactly the stored punctuations a purge round
@@ -477,16 +493,8 @@ func (m *MJoin) emitForRemoved(out []stream.Element, removed [][]stream.Tuple) [
 	for input, tuples := range removed {
 		ps := m.puncts[input]
 		for _, u := range tuples {
-			for si, scheme := range ps.schemes {
-				idx := scheme.PunctuatableIndexes()
-				if cap(m.pg.consts) < len(idx) {
-					m.pg.consts = make([]stream.Value, len(idx))
-				}
-				consts := m.pg.consts[:len(idx)]
-				for k, a := range idx {
-					consts[k] = u.Values[a]
-				}
-				e := ps.lookup(si, consts, m.clock)
+			for si, idx := range ps.idx {
+				e := ps.lookup(si, m.tupleConsts(idx, u), m.clock)
 				if e == nil {
 					continue
 				}
@@ -514,12 +522,11 @@ func (m *MJoin) emitPendingPuncts(out []stream.Element) []stream.Element {
 }
 
 // hasMatchingTuple reports whether any stored tuple of the input matches
-// the punctuation's constant patterns. Indexed attributes are probed;
-// otherwise the state is scanned.
-func (m *MJoin) hasMatchingTuple(input int, p stream.Punctuation) bool {
-	consts := p.ConstIndexes()
+// the punctuation, whose constant patterns sit at positions idx. Indexed
+// attributes are probed; otherwise the state is scanned.
+func (m *MJoin) hasMatchingTuple(input int, idx []int, p stream.Punctuation) bool {
 	st := m.states[input]
-	for _, a := range consts {
+	for _, a := range idx {
 		// The hash index answers equality constraints only.
 		if st.index[a] == nil || p.Patterns[a].IsLeq() {
 			continue
@@ -546,13 +553,6 @@ func (m *MJoin) hasMatchingTuple(input int, p stream.Punctuation) bool {
 	return found
 }
 
-// punctVictim identifies one stored punctuation.
-type punctVictim struct {
-	input     int
-	schemeIdx int
-	consts    []stream.Value
-}
-
 // violatedPromise reports whether a live punctuation stored on the
 // tuple's own input forbids it, returning the offending punctuation. The
 // check is one exact-key lookup per registered scheme: a tuple matches a
@@ -561,20 +561,177 @@ type punctVictim struct {
 // covered() query over constants drawn from the tuple itself.
 func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, bool) {
 	ps := m.puncts[input]
-	for si, scheme := range ps.schemes {
-		idx := scheme.PunctuatableIndexes()
-		if cap(m.pg.consts) < len(idx) {
-			m.pg.consts = make([]stream.Value, len(idx))
-		}
-		consts := m.pg.consts[:len(idx)]
-		for k, a := range idx {
-			consts[k] = t.Values[a]
-		}
+	for si, idx := range ps.idx {
+		consts := m.tupleConsts(idx, t)
 		if ps.covered(si, consts, m.clock) {
 			return ps.lookup(si, consts, m.clock).punct, true
 		}
 	}
 	return stream.Punctuation{}, false
+}
+
+// schemeLinks is the compiled §5.1 view of one registered scheme on one
+// input: a counterLink per join partner its punctuatable attributes
+// reach, plus whether every punctuatable attribute joins some partner
+// (otherwise nothing can certify the punctuation unneeded). NewMJoin
+// compiles it once, so purge decisions never rebuild per-scheme facts.
+type schemeLinks struct {
+	links   []counterLink
+	allJoin bool
+}
+
+// counterLink maps a scheme's constants (in punctuatable-slot order)
+// through the join predicates onto one partner stream.
+type counterLink struct {
+	other int
+	// attrs are the distinct partner attributes the constants constrain;
+	// src[k] is the slot whose constant lands on attrs[k].
+	attrs []int
+	src   []int
+	// conflicts are slot pairs mapped onto one partner attribute: when
+	// their constants differ the constraint is contradictory and no
+	// partner tuple can ever match it.
+	conflicts [][2]int
+	// determined are the partner's schemes whose punctuatable attributes
+	// all lie in attrs, each with the slots supplying its constants.
+	determined []slotMap
+}
+
+// slotMap instantiates a scheme si from another constant list: constant
+// k of si is the source list's slots[k] (a slot of an entry's consts, or
+// an attribute of a removed tuple).
+type slotMap struct {
+	si    int
+	slots []int
+}
+
+// removedLink is the compiled §5.1 view of one predicate touching an
+// input, used when a purge round removes a tuple of that input: the
+// partner's schemes whose constants can be read off the removed tuple —
+// single-attribute schemes on the predicate's partner attribute, and
+// multi-attribute schemes whose every constant maps back onto an
+// attribute of the removed tuple — with the tuple attributes to read.
+type removedLink struct {
+	other   int
+	schemes []slotMap
+}
+
+// compilePunctLinks builds the operator's schemeLinks and removedLinks
+// from the query and the registered schemes.
+func (m *MJoin) compilePunctLinks() {
+	n := m.q.N()
+	m.links = make([][]schemeLinks, n)
+	m.removedLinks = make([][]removedLink, n)
+	for j := 0; j < n; j++ {
+		idxs := m.puncts[j].idx
+		m.links[j] = make([]schemeLinks, len(idxs))
+		for si, idx := range idxs {
+			sl := &m.links[j][si]
+			sl.allJoin = true
+			for _, a := range idx {
+				if len(m.q.JoinPartners(j, a)) == 0 {
+					sl.allJoin = false
+				}
+			}
+			for _, other := range m.partners[j] {
+				if l, ok := m.compileCounterLink(j, idx, other); ok {
+					sl.links = append(sl.links, l)
+				}
+			}
+		}
+		for _, p := range m.predsTouching[j] {
+			other, myAttr, otherAttr := p.Other(j)
+			rl := removedLink{other: other}
+			for si, idx := range m.puncts[other].idx {
+				var back []int
+				switch {
+				case len(idx) == 1 && idx[0] == otherAttr:
+					back = []int{myAttr}
+				case len(idx) > 1:
+					back = mapSlots(idx, func(a int) int { return m.q.PartnerAttr(other, a, j) })
+				}
+				if back != nil {
+					rl.schemes = append(rl.schemes, slotMap{si: si, slots: back})
+				}
+			}
+			m.removedLinks[j] = append(m.removedLinks[j], rl)
+		}
+	}
+}
+
+// compileCounterLink maps the punctuatable attributes idx of input j onto
+// partner other. ok is false when no predicate links them.
+func (m *MJoin) compileCounterLink(j int, idx []int, other int) (l counterLink, ok bool) {
+	l.other = other
+	for k, a := range idx {
+		for _, pr := range m.predsTouching[j] {
+			o, myAttr, otherAttr := pr.Other(j)
+			if o != other || myAttr != a {
+				continue
+			}
+			if at := slices.Index(l.attrs, otherAttr); at >= 0 {
+				if first := l.src[at]; first != k && !slices.Contains(l.conflicts, [2]int{first, k}) {
+					l.conflicts = append(l.conflicts, [2]int{first, k})
+				}
+				continue
+			}
+			l.attrs = append(l.attrs, otherAttr)
+			l.src = append(l.src, k)
+		}
+	}
+	if len(l.attrs) == 0 {
+		return l, false
+	}
+	for si, pidx := range m.puncts[other].idx {
+		slots := mapSlots(pidx, func(a int) int {
+			if at := slices.Index(l.attrs, a); at >= 0 {
+				return l.src[at]
+			}
+			return -1
+		})
+		if slots != nil {
+			l.determined = append(l.determined, slotMap{si: si, slots: slots})
+		}
+	}
+	return l, true
+}
+
+// mapSlots maps every attribute of idx through f, or returns nil when f
+// maps any of them to -1.
+func mapSlots(idx []int, f func(a int) int) []int {
+	slots := make([]int, len(idx))
+	for k, a := range idx {
+		if slots[k] = f(a); slots[k] < 0 {
+			return nil
+		}
+	}
+	return slots
+}
+
+// contradicts reports whether the constants map contradictory values onto
+// one partner attribute.
+func (l *counterLink) contradicts(consts []stream.Value) bool {
+	for _, c := range l.conflicts {
+		if !consts[c[0]].Equal(consts[c[1]]) {
+			return true
+		}
+	}
+	return false
+}
+
+// instantiate fills dst with the constants sm selects from src.
+func (sm *slotMap) instantiate(dst, src []stream.Value) []stream.Value {
+	dst = dst[:0]
+	for _, k := range sm.slots {
+		dst = append(dst, src[k])
+	}
+	return dst
+}
+
+// punctVictim identifies one stored punctuation to drop.
+type punctVictim struct {
+	input int
+	e     *punctEntry
 }
 
 // purgePunctStores implements §5.1 punctuation purgeability. A stored
@@ -589,73 +746,30 @@ func (m *MJoin) violatedPromise(input int, t stream.Tuple) (stream.Punctuation, 
 // pass instead.
 func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple) {
 	pg := &m.pg
-	clear(pg.seenKeys)
+	clear(pg.seenEntries)
 	pg.victims = pg.victims[:0]
-	consider := func(input, schemeIdx int, e *punctEntry) {
-		var hdr [16]byte
-		binary.LittleEndian.PutUint64(hdr[:8], uint64(input))
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(schemeIdx))
-		pg.keyBuf = append(pg.keyBuf[:0], hdr[:]...)
-		pg.keyBuf = stream.AppendKey(pg.keyBuf, e.consts...)
-		if pg.seenKeys[string(pg.keyBuf)] {
-			return
-		}
-		pg.seenKeys[string(pg.keyBuf)] = true
-		if m.punctPurgeable(input, schemeIdx, e) {
-			pg.victims = append(pg.victims, punctVictim{input: input, schemeIdx: schemeIdx, consts: e.consts})
-		}
-	}
 
 	// (a) New punctuations: they may complete the counter-coverage of a
 	// partner stream's stored punctuation with the mapped constants.
 	for _, pp := range batch {
-		m.eachMappedEntry(pp.input, pp.p, consider)
+		pg.batchConsts = appendConsts(pg.batchConsts[:0], pp.p)
+		m.considerMapped(pp.input, pp.si, pg.batchConsts)
 		// The new punctuation itself may already be droppable.
-		if si := m.puncts[pp.input].schemeIndex(pp.p); si >= 0 {
-			if e := m.puncts[pp.input].lookup(si, constsOf(pp.p), m.clock); e != nil {
-				consider(pp.input, si, e)
-			}
+		if e := m.puncts[pp.input].lookup(pp.si, pg.batchConsts, m.clock); e != nil {
+			m.considerPunct(pp.input, e)
 		}
 	}
 	// (b) Removed tuples: a stored punctuation that matched them on a
 	// partner stream may have lost its last blocker.
 	for input, tuples := range removed {
 		for _, u := range tuples {
-			for _, p := range m.predsTouching[input] {
-				other, myAttr, otherAttr := p.Other(input)
-				ps := m.puncts[other]
-				for si, scheme := range ps.schemes {
-					idx := scheme.PunctuatableIndexes()
-					if len(idx) != 1 || idx[0] != otherAttr {
-						continue
-					}
-					if e := ps.lookup(si, []stream.Value{u.Values[myAttr]}, m.clock); e != nil {
-						consider(other, si, e)
-					}
-				}
-				// Multi-attribute schemes: reconstruct the constants from
-				// the removed tuple when every punctuatable attribute maps
-				// back to this input.
-				for si, scheme := range ps.schemes {
-					idx := scheme.PunctuatableIndexes()
-					if len(idx) < 2 {
-						continue
-					}
-					consts := make([]stream.Value, len(idx))
-					ok := true
-					for k, a := range idx {
-						back := m.q.PartnerAttr(other, a, input)
-						if back < 0 {
-							ok = false
-							break
-						}
-						consts[k] = u.Values[back]
-					}
-					if !ok {
-						continue
-					}
-					if e := ps.lookup(si, consts, m.clock); e != nil {
-						consider(other, si, e)
+			for i := range m.removedLinks[input] {
+				rl := &m.removedLinks[input][i]
+				ps := m.puncts[rl.other]
+				for k := range rl.schemes {
+					pg.mapped = rl.schemes[k].instantiate(pg.mapped, u.Values)
+					if e := ps.lookup(rl.schemes[k].si, pg.mapped, m.clock); e != nil {
+						m.considerPunct(rl.other, e)
 					}
 				}
 			}
@@ -668,16 +782,48 @@ func (m *MJoin) purgePunctStores(batch []pendingPunct, removed [][]stream.Tuple)
 	m.removeVictims(pg.victims)
 }
 
+// considerPunct evaluates one candidate of purgePunctStores, once per
+// round: the dedup set is keyed by entry identity.
+func (m *MJoin) considerPunct(input int, e *punctEntry) {
+	if _, dup := m.pg.seenEntries[e]; dup {
+		return
+	}
+	m.pg.seenEntries[e] = struct{}{}
+	if m.punctPurgeable(input, e) {
+		m.pg.victims = append(m.pg.victims, punctVictim{input: input, e: e})
+	}
+}
+
+// considerMapped maps the constants of a punctuation instantiating scheme
+// si on input through the compiled links onto each partner stream and
+// considers every stored partner punctuation whose constants equal the
+// mapped values.
+func (m *MJoin) considerMapped(input, si int, consts []stream.Value) {
+	links := m.links[input][si].links
+	for i := range links {
+		l := &links[i]
+		if l.contradicts(consts) {
+			continue
+		}
+		ps := m.puncts[l.other]
+		for k := range l.determined {
+			m.pg.mapped = l.determined[k].instantiate(m.pg.mapped, consts)
+			if e := ps.lookup(l.determined[k].si, m.pg.mapped, m.clock); e != nil {
+				m.considerPunct(l.other, e)
+			}
+		}
+	}
+}
+
 // sweepPunctStores is the full §5.1 pass used by Sweep: every stored
 // punctuation is re-evaluated.
 func (m *MJoin) sweepPunctStores() {
 	pg := &m.pg
 	pg.victims = pg.victims[:0]
 	for j := range m.puncts {
-		ps := m.puncts[j]
-		ps.each(m.clock, func(si int, e *punctEntry) bool {
-			if m.punctPurgeable(j, si, e) {
-				pg.victims = append(pg.victims, punctVictim{input: j, schemeIdx: si, consts: e.consts})
+		m.puncts[j].each(m.clock, func(_ int, e *punctEntry) bool {
+			if m.punctPurgeable(j, e) {
+				pg.victims = append(pg.victims, punctVictim{input: j, e: e})
 			}
 			return true
 		})
@@ -687,57 +833,9 @@ func (m *MJoin) sweepPunctStores() {
 
 func (m *MJoin) removeVictims(victims []punctVictim) {
 	for _, v := range victims {
-		if m.puncts[v.input].remove(v.schemeIdx, v.consts) {
+		if m.puncts[v.input].remove(v.e) {
 			m.stats.PunctsPurged[v.input]++
 			m.stats.PunctStoreSize[v.input] = m.puncts[v.input].size
-		}
-	}
-}
-
-// eachMappedEntry maps a punctuation's constraint through the join
-// predicates onto each partner stream and invokes fn for every stored
-// partner punctuation whose constants equal the mapped values.
-func (m *MJoin) eachMappedEntry(input int, p stream.Punctuation, fn func(input, schemeIdx int, e *punctEntry)) {
-	consts := p.ConstIndexes()
-	for _, other := range m.partners[input] {
-		// mapped[attr of other] = value implied by p.
-		mapped := make(map[int]stream.Value)
-		conflict := false
-		for _, a := range consts {
-			v := p.Patterns[a].Value()
-			for _, pr := range m.predsTouching[input] {
-				o, myAttr, otherAttr := pr.Other(input)
-				if o != other || myAttr != a {
-					continue
-				}
-				if prev, ok := mapped[otherAttr]; ok && !prev.Equal(v) {
-					conflict = true
-				}
-				mapped[otherAttr] = v
-			}
-		}
-		if conflict || len(mapped) == 0 {
-			continue
-		}
-		ps := m.puncts[other]
-		for si, scheme := range ps.schemes {
-			idx := scheme.PunctuatableIndexes()
-			vals := make([]stream.Value, len(idx))
-			ok := true
-			for k, a := range idx {
-				v, has := mapped[a]
-				if !has {
-					ok = false
-					break
-				}
-				vals[k] = v
-			}
-			if !ok {
-				continue
-			}
-			if e := ps.lookup(si, vals, m.clock); e != nil {
-				fn(other, si, e)
-			}
 		}
 	}
 }
@@ -748,111 +846,67 @@ func (m *MJoin) eachMappedEntry(input int, p stream.Punctuation, fn func(input, 
 // e's mapped constraint and store no tuple still matching it. Constrained
 // attributes that join nothing keep the punctuation alive (nothing can
 // certify they will not be needed).
-func (m *MJoin) punctPurgeable(j, schemeIdx int, e *punctEntry) bool {
-	if m.puncts[j].ordSlot[schemeIdx] >= 0 {
+func (m *MJoin) punctPurgeable(j int, e *punctEntry) bool {
+	if m.puncts[j].ordSlot[e.si] >= 0 {
 		// Watermark entries are self-compacting (one entry per equality
 		// key, bound monotonically widened), so counter-punctuation
 		// purging is unnecessary for them; lifespans still apply.
 		return false
 	}
-	scheme := m.puncts[j].schemes[schemeIdx]
-	idx := scheme.PunctuatableIndexes()
-	partnersTouched := false
-	for _, other := range m.partners[j] {
-		// Map e's constraint onto the partner.
-		mapped := make(map[int]stream.Value)
-		for k, a := range idx {
-			v := e.consts[k]
-			for _, pr := range m.predsTouching[j] {
-				o, myAttr, otherAttr := pr.Other(j)
-				if o == other && myAttr == a {
-					if prev, ok := mapped[otherAttr]; ok && !prev.Equal(v) {
-						// Contradictory constraint: no partner tuple can
-						// ever match e through this stream.
-						mapped = nil
-					}
-					if mapped != nil {
-						mapped[otherAttr] = v
-					}
-				}
-			}
-			if mapped == nil {
-				break
-			}
-		}
-		if mapped == nil {
+	sl := &m.links[j][e.si]
+	if !sl.allJoin {
+		return false
+	}
+	touched := false
+	for i := range sl.links {
+		l := &sl.links[i]
+		if l.contradicts(e.consts) {
 			continue // e matches nothing on this partner
 		}
-		if len(mapped) == 0 {
-			continue // partner not linked through constrained attributes
-		}
-		partnersTouched = true
-		if !m.counterCovered(other, mapped) {
-			return false
-		}
-		if m.hasTupleMatching(other, mapped) {
+		touched = true
+		if !m.counterCovered(l, e.consts) || m.hasTupleMatching(l, e.consts) {
 			return false
 		}
 	}
-	// Every constrained attribute must join at least one partner;
-	// otherwise the punctuation's purpose cannot be certified away.
-	for _, a := range idx {
-		if len(m.q.JoinPartners(j, a)) == 0 {
-			return false
-		}
-	}
-	return partnersTouched
+	return touched
 }
 
-// counterCovered reports whether stream s holds a live punctuation whose
-// constrained attributes are a subset of the mapped constraint with equal
-// values — such a punctuation forbids every future s-tuple matching the
-// constraint.
-func (m *MJoin) counterCovered(s int, mapped map[int]stream.Value) bool {
-	ps := m.puncts[s]
-	for si, scheme := range ps.schemes {
-		idx := scheme.PunctuatableIndexes()
-		consts := make([]stream.Value, len(idx))
-		ok := true
-		for k, a := range idx {
-			v, has := mapped[a]
-			if !has {
-				ok = false
-				break
-			}
-			consts[k] = v
-		}
-		if ok && ps.covered(si, consts, m.clock) {
+// counterCovered reports whether the link's partner holds a live
+// punctuation whose constrained attributes are a subset of the mapped
+// constraint with equal values — such a punctuation forbids every future
+// partner tuple matching the constraint.
+func (m *MJoin) counterCovered(l *counterLink, consts []stream.Value) bool {
+	ps := m.puncts[l.other]
+	for k := range l.determined {
+		m.pg.counter = l.determined[k].instantiate(m.pg.counter, consts)
+		if ps.covered(l.determined[k].si, m.pg.counter, m.clock) {
 			return true
 		}
 	}
 	return false
 }
 
-// hasTupleMatching reports whether stream s stores a tuple matching every
-// (attr, value) pair of the constraint.
-func (m *MJoin) hasTupleMatching(s int, mapped map[int]stream.Value) bool {
+// hasTupleMatching reports whether the link's partner stores a tuple
+// carrying, at every mapped attribute, the constant mapped onto it.
+func (m *MJoin) hasTupleMatching(l *counterLink, consts []stream.Value) bool {
+	st := m.states[l.other]
+	matches := func(u stream.Tuple) bool {
+		for k, a := range l.attrs {
+			if !u.Values[a].Equal(consts[l.src[k]]) {
+				return false
+			}
+		}
+		return true
+	}
 	// Probe the first indexed attribute; verify the rest.
-	st := m.states[s]
-	for a, v := range mapped {
+	for k, a := range l.attrs {
 		if st.index[a] == nil {
 			continue
 		}
-		tb := st.lookup2(a, v)
+		tb := st.lookup2(a, consts[l.src[k]])
 		for _, run := range tb.runs() {
 			for _, id := range run {
-				u, live := st.get(id)
-				if !live {
-					continue
-				}
-				all := true
-				for a2, v2 := range mapped {
-					if !u.Values[a2].Equal(v2) {
-						all = false
-						break
-					}
-				}
-				if all {
+				if u, live := st.get(id); live && matches(u) {
 					return true
 				}
 			}
@@ -861,13 +915,8 @@ func (m *MJoin) hasTupleMatching(s int, mapped map[int]stream.Value) bool {
 	}
 	found := false
 	st.each(func(_ tupleID, u stream.Tuple) bool {
-		for a, v := range mapped {
-			if !u.Values[a].Equal(v) {
-				return true
-			}
-		}
-		found = true
-		return false
+		found = matches(u)
+		return !found
 	})
 	return found
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -269,5 +271,95 @@ func TestStringers(t *testing.T) {
 	}
 	if s := fmt.Sprint(m.OutputSchema()); !strings.Contains(s, "R_K") {
 		t.Errorf("OutputSchema = %q", s)
+	}
+}
+
+// punctTrajectoryDigest is the SHA-256 of the per-element punctuation
+// trajectory recorded by TestPunctPurgeTrajectoryGolden. It pins the
+// §5.1 purge decisions: any change to which stored punctuation is dropped,
+// or at which element, or to the order of emitted output punctuations,
+// changes the digest even when the result multiset is unaffected.
+const punctTrajectoryDigest = "6bac19cda302609185f1aa9eaf367b7985e0eddd38381bcc9cc51a5e61245329"
+
+// TestPunctPurgeTrajectoryGolden replays random closed scenarios with §5.1
+// punctuation purging on (eager, lazy, and with lifespans) and hashes, per
+// element, every input's PunctStoreSize and PunctsPurged plus the emitted
+// output punctuations; the final Flush and a clean-up Sweep are included.
+// The digest must match the recorded one exactly.
+func TestPunctPurgeTrajectoryGolden(t *testing.T) {
+	h := sha256.New()
+	rng := rand.New(rand.NewSource(808))
+	var purged uint64
+	for trial := 0; trial < 40; trial++ {
+		q, set, inputs := randomClosedScenario(rng)
+		// A second feed over the same query adds one multi-attribute
+		// scheme per stream joining on two or more attributes, so the
+		// trajectory also covers multi-constant counter-punctuations.
+		multi := stream.NewSchemeSet(set.All()...)
+		for i := 0; i < q.N(); i++ {
+			if ja := q.JoinAttrs(i); len(ja) > 1 {
+				mask := make([]bool, q.Stream(i).Arity())
+				for _, a := range ja {
+					mask[a] = true
+				}
+				multi.Add(stream.MustScheme(q.Stream(i).Name(), mask...))
+			}
+		}
+		multiInputs := workload.Closed(q, multi, workload.ClosedConfig{
+			Rounds: 4, TuplesPerRound: 3, Window: 2, PunctFraction: 1, Seed: int64(trial),
+		})
+		for ci, cfg := range []Config{
+			{PurgePunctuations: true},
+			{PurgeBatch: 16, PurgePunctuations: true},
+			{PurgePunctuations: true, PunctLifespan: 6},
+			{PurgePunctuations: true, Schemes: multi},
+			{PurgeBatch: 16, PurgePunctuations: true, Schemes: multi},
+		} {
+			feedInputs := inputs
+			if cfg.Schemes == nil {
+				cfg.Schemes = set
+			} else {
+				feedInputs = multiInputs
+			}
+			cfg.Query = q
+			m, err := NewMJoin(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "trial %d cfg %d\n", trial, ci)
+			record := func(outs []stream.Element) {
+				st := m.Stats()
+				fmt.Fprintf(h, "%v %v", st.PunctStoreSize, st.PunctsPurged)
+				for _, o := range outs {
+					if o.IsPunct() {
+						fmt.Fprintf(h, " %s", o.Punct())
+					}
+				}
+				h.Write([]byte{'\n'})
+			}
+			feed, err := workload.NewFeed(q, feedInputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := feed.Each(func(i int, e stream.Element) error {
+				outs, err := m.Push(i, e)
+				record(outs)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			record(m.Flush())
+			_, outs := m.Sweep()
+			record(outs)
+			for _, n := range m.Stats().PunctsPurged {
+				purged += n
+			}
+		}
+	}
+	if purged == 0 {
+		t.Fatal("no punctuation was ever purged; the trajectory pins nothing")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != punctTrajectoryDigest {
+		t.Fatalf("punctuation trajectory digest = %s, want %s", got, punctTrajectoryDigest)
 	}
 }

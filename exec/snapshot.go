@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"punctsafe/stream"
 )
@@ -207,16 +206,10 @@ func (m *MJoin) appendInputState(dst []byte, input int, codec *stream.Codec) ([]
 	}
 	ps := m.puncts[input]
 	dst = binary.AppendUvarint(dst, uint64(len(ps.schemes)))
-	var keys []string
 	for k := range ps.entries {
-		keys = keys[:0]
-		for key := range ps.entries[k] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, key := range keys {
-			e := ps.entries[k][key]
+		entries := ps.sortedInto(nil, k)
+		dst = binary.AppendUvarint(dst, uint64(len(entries)))
+		for _, e := range entries {
 			var err error
 			dst, err = codec.Encode(dst, stream.PunctElement(e.punct))
 			if err != nil {
@@ -285,7 +278,12 @@ func (m *MJoin) decodeState(blob []byte) (*opState, error) {
 		if !e.IsPunct() {
 			return nil, fmt.Errorf("%w: pending entry is not a punctuation", ErrCorruptState)
 		}
-		os.pending = append(os.pending, pendingPunct{input: input, p: e.Punct()})
+		p := e.Punct()
+		si := os.puncts[input].schemeIndex(p)
+		if si < 0 {
+			return nil, fmt.Errorf("%w: pending punctuation %s instantiates no registered scheme", ErrCorruptState, p)
+		}
+		os.pending = append(os.pending, pendingPunct{input: input, si: si, p: p})
 	}
 	pressured, err := d.byteVal("pressure latch")
 	if err != nil {
@@ -393,8 +391,8 @@ func (m *MJoin) decodeJoinState(d *stateDec, input int, codec *stream.Codec) (*j
 }
 
 // decodePunctStore rebuilds one input's punctuation store, re-deriving
-// each entry's equality key and validating it against the scheme it was
-// stored under.
+// each entry's scheme index and equality-key hash and validating it
+// against the scheme it was stored under.
 func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, clock uint64) (*punctStore, error) {
 	ps := newPunctStore(m.puncts[input].schemes)
 	nSchemes, err := d.count("scheme count")
@@ -421,7 +419,7 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if !ps.schemes[k].Instantiates(p) {
 				return nil, fmt.Errorf("%w: punctuation %s does not instantiate scheme %s", ErrCorruptState, p, ps.schemes[k])
 			}
-			entry := &punctEntry{punct: p, consts: constsOf(p)}
+			entry := &punctEntry{punct: p, consts: appendConsts(nil, p), si: k}
 			if entry.arrived, err = d.uvarint("punctuation arrival clock"); err != nil {
 				return nil, err
 			}
@@ -436,11 +434,12 @@ func (m *MJoin) decodePunctStore(d *stateDec, input int, codec *stream.Codec, cl
 			if entry.arrived > clock {
 				return nil, fmt.Errorf("%w: punctuation arrival clock %d beyond operator clock %d", ErrCorruptState, entry.arrived, clock)
 			}
-			key := string(ps.appendEqKey(nil, k, entry.consts))
-			if _, dup := ps.entries[k][key]; dup {
+			h := ps.eqHash(k, entry.consts)
+			if ps.find(k, h, entry.consts) != nil {
 				return nil, fmt.Errorf("%w: duplicate punctuation entry for scheme %s", ErrCorruptState, ps.schemes[k])
 			}
-			ps.entries[k][key] = entry
+			entry.next = ps.entries[k][h]
+			ps.entries[k][h] = entry
 			ps.size++
 		}
 	}

@@ -37,6 +37,11 @@ type joinState struct {
 	nDead   int
 	nextID  tupleID
 	walkers int // >0 while each() iterates; defers compaction & freezing
+	// spare holds emptied small index buckets (length 0, capacity kept)
+	// for insert to reuse, so key churn — a key purged away, a fresh key
+	// inserted — allocates no bucket. At most maxSpareBuckets buckets of
+	// capacity up to maxSpareCap are kept.
+	spare [][]tupleID
 
 	// cold is the frozen tier, nil until the first freeze moves rows.
 	cold *coldSegment
@@ -51,6 +56,12 @@ type joinState struct {
 // compactMinDead bounds how small a state bothers compacting; below it
 // tombstones cost less than the rewrite.
 const compactMinDead = 64
+
+// maxSpareBuckets and maxSpareCap bound joinState.spare.
+const (
+	maxSpareBuckets = 64
+	maxSpareCap     = 16
+)
 
 func newJoinState(joinAttrs []int) *joinState {
 	st := &joinState{
@@ -71,7 +82,12 @@ func (st *joinState) insert(t stream.Tuple) tupleID {
 	st.dead = append(st.dead, false)
 	for a, idx := range st.index {
 		k := t.Values[a].Key()
-		idx[k] = append(idx[k], id) // id is the largest yet: stays sorted
+		b := idx[k]
+		if b == nil && len(st.spare) > 0 {
+			b = st.spare[len(st.spare)-1]
+			st.spare = st.spare[:len(st.spare)-1]
+		}
+		idx[k] = append(b, id) // id is the largest yet: stays sorted
 	}
 	return id
 }
@@ -151,6 +167,9 @@ func (st *joinState) remove(id tupleID) bool {
 		if bucket := idx[k]; bucket != nil {
 			if b := deleteSorted(bucket, id); len(b) == 0 {
 				delete(idx, k)
+				if len(st.spare) < maxSpareBuckets && cap(b) <= maxSpareCap {
+					st.spare = append(st.spare, b)
+				}
 			} else {
 				idx[k] = b
 			}

@@ -40,12 +40,19 @@ rm -f "$ckpt"
 
 # Allocation floors for the hot path (testing.AllocsPerRun guards): the
 # steady-state probe must stay ~alloc-free, a chained-purge cycle within
-# its scratch budget, and the cold-tier probe at parity with the all-hot
-# probe; frame decoding keeps its per-frame bound.
-go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestColdTierProbeAllocs' -count 1 ./exec/...
+# its scratch budget, the cold-tier probe at parity with the all-hot
+# probe, and a §5.1 punctuation-purging auction cycle may allocate only
+# its emitted elements; frame decoding keeps its per-frame bound.
+go test -run 'TestSteadyStateProbeAllocs|TestChainedPurgeAllocs|TestColdTierProbeAllocs|TestPunctPathAllocs' -count 1 ./exec/...
 go test -run 'TestWireReaderReadAllocs' -count 1 ./engine/...
 
 # Shared-tree fan-out alloc floor: delivering one output batch to extra
 # subscribers (callback or passive) must not allocate per batch — sharing
 # is O(subscribers) pointer work, never O(subscribers) copies.
 go test -run 'TestFanOutDeliveryAllocs' -count 1 ./engine/
+
+# The end-to-end benchmark is a module of its own (perfbench/go.mod), so
+# the root `go test ./...` skips it: vet it and run its smoke, output-
+# oracle, bounded-state and negative tests here.
+go -C perfbench vet ./...
+go -C perfbench test ./...
