@@ -33,8 +33,8 @@ import (
 // runtime's close lock (no new sends can start) and posts a barrier
 // message to every shard; mailbox FIFO order means each worker has fully
 // applied everything enqueued before the barrier when it serializes its
-// own tree. Offsets committed via SendAt/SendBatchAt/IngestWireFrom move
-// under the same lock's read side, so a snapshot never pairs applied
+// own tree. Offsets committed via SendAt/IngestWireResume move under
+// the same lock's read side, so a snapshot never pairs applied
 // elements with a stale offset or an advanced offset with unapplied
 // elements. Results delivered downstream after the checkpoint are
 // replayed on resume — the runtime is exactly-once for state and
@@ -79,20 +79,6 @@ func (rt *Runtime) SendAt(source, streamName string, e stream.Element, offset in
 		return err
 	}
 	if err := rt.sendLocked(streamName, e); err != nil {
-		return err
-	}
-	rt.commitOffset(source, offset)
-	return nil
-}
-
-// SendBatchAt is SendBatch plus the same atomic offset commit as SendAt.
-func (rt *Runtime) SendBatchAt(source, streamName string, elems []stream.Element, offset int64) error {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("SendBatchAt"); err != nil {
-		return err
-	}
-	if err := rt.sendBatchLocked(streamName, elems); err != nil {
 		return err
 	}
 	rt.commitOffset(source, offset)
@@ -329,7 +315,7 @@ type shardState struct {
 // ErrCorruptCheckpoint and leaves the register exactly as it was.
 //
 // After a successful restore, feed each ingest source from its
-// ResumeOffset (IngestWireFrom does this automatically): elements up to
+// ResumeOffset (IngestWireResume reads it itself): elements up to
 // the recorded offsets are already inside the restored state, elements
 // after them have left no trace, so resumption neither loses nor
 // duplicates input. Result tuples delivered between the checkpoint and
@@ -848,31 +834,25 @@ func (d *ckptDec) str(what string) (string, error) {
 	return string(b), nil
 }
 
-// IngestWireFrom is the resumable counterpart of IngestWire: it opens
-// the named source through open at the runtime's committed resume offset
-// (zero on a fresh runtime, the checkpointed offset after a restore),
-// reads frames until EOF, and commits the advancing offset atomically
-// with each routed batch. A runtime restored from a checkpoint therefore
-// resumes exactly after the last frame inside the snapshot — no lost and
-// no duplicated tuples. The transport is wrapped in a RetryReader, so
-// transient failures reconnect at the right offset automatically.
+// IngestWireResume is the runtime's wire ingest: it reads frames from r
+// until EOF and routes them in batches of contiguous same-stream runs
+// (one mailbox hand-off per subscribed shard), committing the named
+// source's advancing offset atomically with each routed batch. r must
+// already be positioned at the source's committed resume offset
+// (rt.ResumeOffset(source): zero on a fresh runtime, the checkpointed
+// offset after a restore), so a restored runtime resumes exactly after
+// the last frame inside the snapshot — no lost and no duplicated tuples.
+// No reconnection is attempted: a read failure surfaces after committing
+// everything read before it, and the caller reopens the transport at
+// the new ResumeOffset. The serving front-end feeds each producer
+// connection through this path; the connection handshake positions the
+// client at the resume offset.
 //
-// Under Drop and Quarantine the reader runs in skip-and-resync mode;
-// a corrupt region is dead-lettered in the same commit as the first
-// batch whose offset moves past it, so faults are exactly-once across a
-// crash too.
-func (rt *Runtime) IngestWireFrom(source string, open func(offset int64) (io.Reader, error), schemas ...*stream.Schema) (int, error) {
-	rr := &RetryReader{Open: open, StartOffset: rt.ResumeOffset(source)}
-	return rt.IngestWireResume(source, rr, schemas...)
-}
-
-// IngestWireResume is the transport-agnostic half of IngestWireFrom: r
-// must already be positioned at the source's committed resume offset
-// (rt.ResumeOffset(source)), and no reconnection is attempted — a read
-// failure surfaces after committing everything read before it. The
-// serving front-end feeds each producer connection through this path:
-// the connection handshake positions the client at the resume offset,
-// and reconnection is the client's job, not the reader's.
+// Under Drop and Quarantine the reader runs in skip-and-resync mode; a
+// corrupt region is dead-lettered in the same commit as the first batch
+// whose offset moves past it, so faults are exactly-once across a crash
+// too. It returns the number of elements routed (delivery is
+// asynchronous; Close and Wait to drain).
 func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stream.Schema) (int, error) {
 	start := rt.ResumeOffset(source)
 	var rec *tapRecorder
@@ -955,7 +935,7 @@ func (rt *Runtime) IngestWireResume(source string, r io.Reader, schemas ...*stre
 func (rt *Runtime) ingestCommit(source, streamName string, elems []stream.Element, faults []DeadLetter, offset int64, rec *tapRecorder) error {
 	rt.closeMu.RLock()
 	defer rt.closeMu.RUnlock()
-	if err := rt.sendGuard("IngestWireFrom"); err != nil {
+	if err := rt.sendGuard("IngestWireResume"); err != nil {
 		return err
 	}
 	if rec != nil {

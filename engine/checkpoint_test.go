@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"punctsafe/internal/faultinject"
+	"punctsafe/stream"
 	"punctsafe/workload"
 )
 
@@ -331,21 +332,60 @@ func TestCheckpointFileTornWrite(t *testing.T) {
 	}
 }
 
-// TestIngestWireFromResumesAfterRestore: wire ingestion committed through
-// IngestWireFrom resumes exactly after the last checkpointed frame — the
-// restored runtime re-reads nothing and skips nothing, even over a flaky
-// transport, and the combined results equal an uninterrupted ingest.
-func TestIngestWireFromResumesAfterRestore(t *testing.T) {
+// ingestReopening feeds the "wire" source from wire[:end] through
+// IngestWireResume over a transport that drops every 900 bytes,
+// reopening at the committed ResumeOffset after each drop until an
+// ingest returns nil — the reconnect loop a serving producer runs at the
+// protocol level. frameEnds lists the wire offset after each frame. A
+// failed ingest must have committed every whole frame it read before the
+// drop (the commit-on-error contract), so each reopen starts at the last
+// frame boundary the dropped connection delivered. It returns the
+// elements routed across all opens.
+func ingestReopening(t *testing.T, rt *Runtime, wire []byte, frameEnds []int64, end int64, schemas ...*stream.Schema) int {
+	t.Helper()
+	const window = 900
+	n := 0
+	for {
+		off := rt.ResumeOffset("wire")
+		k, err := rt.IngestWireResume("wire", faultinject.NewFlakyReader(wire[off:end], window), schemas...)
+		n += k
+		if err == nil {
+			return n
+		}
+		if !errors.Is(err, faultinject.ErrTransient) {
+			t.Fatalf("ingest from offset %d: %v", off, err)
+		}
+		want := off
+		for _, e := range frameEnds {
+			if e <= off+window && e <= end {
+				want = e
+			}
+		}
+		if got := rt.ResumeOffset("wire"); got != want || got == off {
+			t.Fatalf("ingest from offset %d dropped after %d bytes and committed offset %d, want the last delivered frame end %d",
+				off, window, got, want)
+		}
+	}
+}
+
+// TestIngestWireResumeAfterRestore: wire ingestion committed through
+// IngestWireResume resumes exactly after the last checkpointed frame —
+// the restored runtime re-reads nothing and skips nothing, even over a
+// flaky transport reopened at each committed offset, and the combined
+// results equal an uninterrupted ingest.
+func TestIngestWireResumeAfterRestore(t *testing.T) {
 	feed := auctionFeed(30, 2)
 	item := workload.AuctionQuery().Stream(0)
 	bid := workload.AuctionQuery().Stream(1)
 	var buf bytes.Buffer
 	ww := NewWireWriter(&buf, item, bid)
 	var boundary int64 // wire offset after the first half's frames
+	var frameEnds []int64
 	for i, te := range feed {
 		if err := ww.Write(te.Stream, te.Elem); err != nil {
 			t.Fatal(err)
 		}
+		frameEnds = append(frameEnds, int64(buf.Len()))
 		if i == len(feed)/2 {
 			boundary = int64(buf.Len())
 		}
@@ -355,7 +395,7 @@ func TestIngestWireFromResumesAfterRestore(t *testing.T) {
 	// Uninterrupted reference.
 	ref, refRegs := newAuctionDSMS(t, 1)
 	rtRef := ref.RunSharded(RuntimeOptions{})
-	if _, err := rtRef.IngestWire(bytes.NewReader(wire), item, bid); err != nil {
+	if _, err := rtRef.IngestWireResume("wire", bytes.NewReader(wire), item, bid); err != nil {
 		t.Fatal(err)
 	}
 	rtRef.Close()
@@ -367,12 +407,7 @@ func TestIngestWireFromResumesAfterRestore(t *testing.T) {
 	// at the boundary), checkpoint, crash.
 	d, regs := newAuctionDSMS(t, 1)
 	rt := d.RunSharded(RuntimeOptions{})
-	n1, err := rt.IngestWireFrom("wire", func(off int64) (io.Reader, error) {
-		return faultinject.NewFlakyReader(wire[off:boundary], 900), nil
-	}, item, bid)
-	if err != nil {
-		t.Fatalf("first ingest: %v", err)
-	}
+	n1 := ingestReopening(t, rt, wire, frameEnds, boundary, item, bid)
 	var snap bytes.Buffer
 	if err := rt.Checkpoint(&snap); err != nil {
 		t.Fatal(err)
@@ -392,17 +427,7 @@ func TestIngestWireFromResumesAfterRestore(t *testing.T) {
 	if got := rt2.ResumeOffset("wire"); got != boundary {
 		t.Fatalf("ResumeOffset = %d, want wire boundary %d", got, boundary)
 	}
-	opens := 0
-	n2, err := rt2.IngestWireFrom("wire", func(off int64) (io.Reader, error) {
-		opens++
-		if opens == 1 && off != boundary {
-			t.Errorf("first reopen at %d, want %d", off, boundary)
-		}
-		return faultinject.NewFlakyReader(wire[off:], 900), nil
-	}, item, bid)
-	if err != nil {
-		t.Fatalf("resumed ingest: %v", err)
-	}
+	n2 := ingestReopening(t, rt2, wire, frameEnds, int64(len(wire)), item, bid)
 	rt2.Close()
 	if err := rt2.Wait(); err != nil {
 		t.Fatal(err)

@@ -21,10 +21,9 @@ import (
 )
 
 // DSMS is a single-threaded data stream management system instance. All
-// methods must be called from one goroutine; RunAsync wraps the Push
-// entry point in a serial channel loop for concurrent feeding, and
-// RunSharded runs each registered query on its own goroutine behind a
-// stream router.
+// methods must be called from one goroutine; RunSharded runs each
+// registered query on its own goroutine behind a stream router for
+// concurrent feeding.
 type DSMS struct {
 	schemes *stream.SchemeSet
 	queries map[string]*Registered

@@ -52,7 +52,10 @@ func registerShare(t *testing.T, d *engine.DSMS, name, tag string) *engine.Regis
 // share group and spawning/retiring whole trees) and an observer hammers
 // Stats, DeadLetters, and a mid-run Checkpoint. The views that survive
 // from start to finish must deliver exactly what a churn-free sequential
-// run delivers.
+// run delivers. The producer holds at the feed's midpoint until the late
+// view is attached and the early one detached, so both land mid-feed
+// however the goroutines are scheduled (on one CPU the producer could
+// otherwise finish first).
 func TestLiveEvolveUnderLoad(t *testing.T) {
 	feed := liveFeed(120, 4)
 
@@ -90,6 +93,7 @@ func TestLiveEvolveUnderLoad(t *testing.T) {
 
 	half := len(feed) / 2
 	halfSent := make(chan struct{})
+	evolved := make(chan struct{})
 	churnDone := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -104,6 +108,7 @@ func TestLiveEvolveUnderLoad(t *testing.T) {
 			}
 			if i == half {
 				close(halfSent)
+				<-evolved
 			}
 		}
 	}()
@@ -178,6 +183,7 @@ func TestLiveEvolveUnderLoad(t *testing.T) {
 	if err := rt.Detach("early"); err != nil {
 		t.Fatal(err)
 	}
+	close(evolved)
 
 	wg.Wait()
 	rt.Close()

@@ -11,10 +11,8 @@ package engine_test
 import (
 	"bytes"
 	"errors"
-	"io"
 	"sort"
 	"testing"
-	"time"
 
 	"punctsafe/engine"
 	"punctsafe/exec"
@@ -301,7 +299,7 @@ func TestWireChaosQuarantine(t *testing.T) {
 
 	d, regs := newFaultDSMS(t, "q0")
 	rt := d.RunSharded(engine.RuntimeOptions{OnError: engine.Quarantine})
-	n, err := rt.IngestWire(bytes.NewReader(wire), item, bid)
+	n, err := rt.IngestWireResume("wire", bytes.NewReader(wire), item, bid)
 	if err != nil {
 		t.Fatalf("lenient ingest failed: %v", err)
 	}
@@ -343,59 +341,15 @@ func TestWireChaosQuarantine(t *testing.T) {
 	if _, err := strict.IngestWire(bytes.NewReader(wire), item, bid); err == nil {
 		t.Fatal("strict ingest accepted a corrupt wire")
 	}
-}
-
-// TestRetryReaderResumesFlakyTransport: a transport that drops every few
-// hundred bytes, wrapped in a RetryReader, still delivers the whole wire
-// with no frame lost or duplicated.
-func TestRetryReaderResumesFlakyTransport(t *testing.T) {
-	feed := chaosBaseFeed()
-	item, bid := workload.AuctionSchemas()
-	var buf bytes.Buffer
-	ww := engine.NewWireWriter(&buf, item, bid)
-	for _, it := range feed {
-		if err := ww.Write(it.Stream, it.Elem); err != nil {
-			t.Fatal(err)
-		}
+	// So does the runtime's wire ingest under the Fail policy.
+	strictRT, _ := newFaultDSMS(t, "q0")
+	srt := strictRT.RunSharded(engine.RuntimeOptions{})
+	if _, err := srt.IngestWireResume("wire", bytes.NewReader(wire), item, bid); err == nil {
+		t.Fatal("strict runtime ingest accepted a corrupt wire")
 	}
-	wire := buf.Bytes()
-
-	opens := 0
-	rr := &engine.RetryReader{
-		Open: func(offset int64) (io.Reader, error) {
-			opens++
-			return faultinject.NewFlakyReader(wire[offset:], 700), nil
-		},
-		Sleep: func(time.Duration) {},
-	}
-	d, regs := newFaultDSMS(t, "q0")
-	n, err := d.IngestWire(rr, item, bid)
-	if err != nil {
-		t.Fatalf("ingest over flaky transport failed: %v", err)
-	}
-	if n != len(feed) {
-		t.Fatalf("ingested %d elements, want %d", n, len(feed))
-	}
-	if opens < 2 || rr.Retries == 0 {
-		t.Fatalf("transport never dropped: opens=%d retries=%d", opens, rr.Retries)
-	}
-	if len(regs[0].Results) == 0 {
-		t.Fatal("no results from flaky ingest")
-	}
-
-	// A transport that never comes back surfaces a bounded failure.
-	dead := &engine.RetryReader{
-		MaxRetries: 3,
-		Sleep:      func(time.Duration) {},
-		Open: func(int64) (io.Reader, error) {
-			return nil, errors.New("connection refused")
-		},
-	}
-	if _, err := dead.Read(make([]byte, 16)); err == nil {
-		t.Fatal("dead transport read succeeded")
-	} else if dead.Retries != 4 {
-		t.Fatalf("dead transport retried %d times, want MaxRetries+1 = 4", dead.Retries)
-	}
+	srt.Kill()
+	srt.Close()
+	srt.Wait()
 }
 
 func equalStrings(a, b []string) bool {

@@ -1,16 +1,15 @@
 package engine
 
-// Multi-producer race stress (ISSUE 6 satellite): concurrent SendBatch
-// producers and a parallel wire ingester all feeding one partitioned
-// query, interleaved with Stats and Checkpoint barriers, must produce
-// exactly the single-tree result set. The concurrent phase carries
-// tuples only — tuple arrival order across streams never changes the
-// final multiset of an equi-join, and purge waits for punctuation — so
-// the assertion is exact even though the interleaving is not. The
-// punctuation pass runs single-threaded afterwards and drains all state.
-// Run under -race this exercises every ingress path of the parallel
-// front-end at once: sender-side routing, epoch seals, control barriers,
-// and the parallel wire pipeline.
+// Multi-producer race stress: concurrent SendBatch producers and a wire
+// ingester all feeding one partitioned query, interleaved with Stats and
+// Checkpoint barriers, must produce exactly the single-tree result set.
+// The concurrent phase carries tuples only — tuple arrival order across
+// streams never changes the final multiset of an equi-join, and purge
+// waits for punctuation — so the assertion is exact even though the
+// interleaving is not. The punctuation pass runs single-threaded
+// afterwards and drains all state. Run under -race this exercises every
+// ingress path of the parallel front-end at once: sender-side routing,
+// epoch seals, control barriers, and the wire ingest's offset commits.
 
 import (
 	"bytes"
@@ -107,7 +106,7 @@ func TestParallelIngestStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := refRT.IngestWire(bytes.NewReader(wire), itemSchema, bidSchema, watchSchema); err != nil {
+	if _, err := refRT.IngestWireResume("wire", bytes.NewReader(wire), itemSchema, bidSchema, watchSchema); err != nil {
 		t.Fatal(err)
 	}
 	stressPuncts(t, refRT)
@@ -121,8 +120,8 @@ func TestParallelIngestStress(t *testing.T) {
 	}
 
 	// Partitioned run: three SendBatch producers (one per stream, each
-	// splitting its tuples into small batches), one parallel wire
-	// producer, and a barrier goroutine hammering Stats/Checkpoint.
+	// splitting its tuples into small batches), one wire producer, and a
+	// barrier goroutine hammering Stats/Checkpoint.
 	d, reg := newStressDSMS(t, 4)
 	rt := d.RunSharded(RuntimeOptions{})
 
@@ -150,9 +149,9 @@ func TestParallelIngestStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n, err := rt.IngestWireParallel(bytes.NewReader(wire), 4, itemSchema, bidSchema, watchSchema)
+		n, err := rt.IngestWireResume("wire", bytes.NewReader(wire), itemSchema, bidSchema, watchSchema)
 		if err != nil {
-			errs <- fmt.Errorf("IngestWireParallel: %w", err)
+			errs <- fmt.Errorf("IngestWireResume: %w", err)
 			return
 		}
 		if wantN := spWireKeys * (1 + spBids + spWatch); n != wantN {

@@ -11,7 +11,7 @@ import (
 
 // The parallel partitioned front-end: when a query registers with
 // Options.Partitions, its ingestion no longer funnels through a serial
-// router goroutine. Instead every producer (Send, SendBatch, IngestWire)
+// router goroutine. Instead every producer (Send, SendBatch, IngestWireResume)
 // computes the co-partition hash itself and scatters its run directly
 // into per-partition mailboxes, so tuples flow producer → partition
 // worker with no element ever crossing a global serial stage.

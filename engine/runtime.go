@@ -48,9 +48,8 @@ type RuntimeOptions struct {
 	// replaying the tapped records into a second runtime in call order
 	// reproduces the exact interleaving, and therefore the exact output
 	// and delivery sequence, of this one. The serving layer's
-	// primary→standby replication feed rides this hook. Only the
-	// IngestWireResume/IngestWireFrom path is tapped; direct Send calls
-	// bypass it. The callback runs inside the commit critical section and
+	// primary→standby replication feed rides this hook. Only
+	// IngestWireResume is tapped; direct Send calls bypass it. The callback runs inside the commit critical section and
 	// must not call back into the runtime.
 	IngestTap func(source string, frames []byte, start, end int64)
 }

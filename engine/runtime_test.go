@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +184,23 @@ func TestShardedDrainKeepsFeeding(t *testing.T) {
 	if err := rt.Send("item", bad); err == nil {
 		t.Fatal("Send after Close must error")
 	}
+	// Wire ingest after Close names the API that was called and commits
+	// no offset.
+	item, _ := workload.AuctionSchemas()
+	var frame bytes.Buffer
+	if err := NewWireWriter(&frame, item).Write("item", stream.TupleElement(stream.NewTuple(
+		stream.Int(1), stream.Int(2), stream.Str("x"), stream.Float(1)))); err != nil {
+		t.Fatal(err)
+	}
+	before := rt.ResumeOffset("wire")
+	if _, err := rt.IngestWireResume("wire", &frame, item); err == nil {
+		t.Fatal("IngestWireResume after Close must error")
+	} else if !strings.Contains(err.Error(), "IngestWireResume after Close") {
+		t.Fatalf("after-Close error %q does not name IngestWireResume", err)
+	}
+	if got := rt.ResumeOffset("wire"); got != before {
+		t.Fatalf("ResumeOffset moved after Close: %d, want %d", got, before)
+	}
 }
 
 // TestShardedStatsSnapshot: the mailbox-routed snapshot reflects every
@@ -234,7 +252,7 @@ func TestShardedStatsSnapshot(t *testing.T) {
 }
 
 // TestShardedWireIngest routes a binary wire feed through the sharded
-// runtime and checks it against the sequential IngestWire path.
+// runtime and checks it against the sequential DSMS.IngestWire path.
 func TestShardedWireIngest(t *testing.T) {
 	itemSchema := workload.AuctionQuery().Stream(0)
 	bidSchema := workload.AuctionQuery().Stream(1)
@@ -257,7 +275,7 @@ func TestShardedWireIngest(t *testing.T) {
 
 	d, regs := newAuctionDSMS(t, 2)
 	rt := d.RunSharded(RuntimeOptions{})
-	n, err := rt.IngestWire(bytes.NewReader(wire), itemSchema, bidSchema)
+	n, err := rt.IngestWireResume("wire", bytes.NewReader(wire), itemSchema, bidSchema)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,9 +106,17 @@ type wireCorruption struct {
 func (c *wireCorruption) Error() string { return c.err.Error() }
 func (c *wireCorruption) Unwrap() error { return c.err }
 
+// TaggedElement is one element of a named stream, as delivered to the
+// input manager by the application environment (Figure 2).
+type TaggedElement struct {
+	Stream string
+	Elem   stream.Element
+}
+
 // WireReader decodes frames from a multiplexed element stream. It is the
 // shared front half of the ingestion paths: DSMS.IngestWire drains it
-// into the sequential Push, Runtime.IngestWire into the sharded router.
+// into the sequential Push, Runtime.IngestWireResume into the sharded
+// router.
 //
 // The reader parses out of a single reusable window buffer: stream names
 // are interned and payloads are decoded in place, so steady-state reading
@@ -203,10 +211,8 @@ func (wr *WireReader) skipFrame(streamName string, frameLen int, err error) {
 // the window (valid until the next readRaw or compact) and the frame's
 // byte length; the caller consumes by advancing wr.pos. Framing-level
 // damage — bad varints, absurd lengths, unknown streams, truncation — is
-// skipped and reported here under Lenient; payload damage is the
-// caller's concern (the decode step may run on another goroutine, see
-// the parallel ingestion pipeline). Returns io.EOF at a clean end of
-// input.
+// skipped and reported here under Lenient; payload damage is Read's
+// concern. Returns io.EOF at a clean end of input.
 func (wr *WireReader) readRaw() (wireStream, []byte, int, error) {
 	var zero wireStream
 	var scanStart int64
@@ -232,7 +238,8 @@ func (wr *WireReader) readRaw() (wireStream, []byte, int, error) {
 		var c *wireCorruption
 		if !errors.As(err, &c) {
 			// Underlying reader failure: not data damage, always fatal at
-			// this layer (RetryReader absorbs transient ones underneath).
+			// this layer (the caller reopens the transport at its
+			// committed offset).
 			return zero, nil, 0, fmt.Errorf("engine: wire: %w", err)
 		}
 		if !wr.lenient {
@@ -258,7 +265,7 @@ func (wr *WireReader) readRaw() (wireStream, []byte, int, error) {
 
 // Offset returns the absolute wire offset of the next unconsumed byte:
 // after a successful Read, the end of the frame just returned. Resumable
-// ingestion (IngestWireFrom) commits this as the source's resume
+// ingestion (IngestWireResume) commits this as the source's resume
 // position.
 func (wr *WireReader) Offset() int64 {
 	return wr.base + int64(wr.pos)
@@ -410,9 +417,8 @@ func (wr *WireReader) parseRawFrame() (wireStream, []byte, int, error) {
 	return ws, payload, frameLen, nil
 }
 
-// decodeWireFrame decodes one raw frame's payload. It touches no reader
-// state (stream.Codec is stateless), so decoding can run on any
-// goroutine — the parallel ingestion pipeline fans it out across cores.
+// decodeWireFrame decodes one raw frame's payload, rejecting trailing
+// bytes.
 func decodeWireFrame(ws wireStream, payload []byte) (stream.Element, error) {
 	e, rest, err := ws.codec.Decode(payload)
 	if err != nil {
@@ -427,7 +433,8 @@ func decodeWireFrame(ws wireStream, payload []byte) (stream.Element, error) {
 // IngestWire reads frames from r until EOF and pushes each element into
 // the DSMS. The schemas declare the streams the wire may carry. It
 // returns the number of elements ingested. The sequential path is always
-// strict; the sharded Runtime's IngestWire applies its error policy.
+// strict; the sharded Runtime's IngestWireResume applies its error
+// policy.
 func (d *DSMS) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, error) {
 	wr := NewWireReader(r, schemas...)
 	count := 0
@@ -443,61 +450,5 @@ func (d *DSMS) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, error) {
 			return count, err
 		}
 		count++
-	}
-}
-
-// IngestWire reads frames from r until EOF and routes each element to the
-// runtime's shards. It returns the number of elements routed (delivery is
-// asynchronous; Close and Wait to drain). Under the Drop and Quarantine
-// policies the reader runs in skip-and-resync mode: corrupt frames are
-// counted (and, under Quarantine, retained raw) in the dead-letter queue
-// instead of aborting the ingest.
-// Frames are decoded and routed in batches: contiguous same-stream runs
-// (up to ingestBatch frames) travel through SendBatch as one mailbox
-// hand-off per subscribed shard, preserving per-shard element order while
-// amortizing routing and channel overhead.
-func (rt *Runtime) IngestWire(r io.Reader, schemas ...*stream.Schema) (int, error) {
-	wr := NewWireReader(r, schemas...)
-	if rt.policy != Fail {
-		wr.Lenient(func(f WireFault) {
-			rt.dlq.add(DeadLetter{Stream: f.Stream, Frame: f.Frame, Err: f.Err})
-		})
-	}
-	const ingestBatch = 128
-	batch := make([]stream.Element, 0, ingestBatch)
-	batchStream := ""
-	count := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := rt.SendBatch(batchStream, batch); err != nil {
-			return err
-		}
-		count += len(batch)
-		batch = batch[:0]
-		return nil
-	}
-	for {
-		te, err := wr.Read()
-		if err == io.EOF {
-			if ferr := flush(); ferr != nil {
-				return count, ferr
-			}
-			return count, nil
-		}
-		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return count, ferr
-			}
-			return count, err
-		}
-		if te.Stream != batchStream || len(batch) >= ingestBatch {
-			if ferr := flush(); ferr != nil {
-				return count, ferr
-			}
-			batchStream = te.Stream
-		}
-		batch = append(batch, te.Elem)
 	}
 }

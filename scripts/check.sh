@@ -1,6 +1,8 @@
 #!/bin/sh
-# Standard verify entry point (mirrors `make check`): vet, build, test,
-# and race-test the whole module. Run from the repository root.
+# Standard verify entry point (`make check` runs this script): vet,
+# build, test, and race-test the whole module, then the stress, soak,
+# fuzz-seed, smoke and alloc-floor gates below. Run from the repository
+# root.
 set -eux
 
 # gofmt is a failing gate: any unformatted file lists here and aborts.
@@ -12,9 +14,15 @@ go build ./...
 go test ./...
 go test -race ./...
 
+# Tier-1 at pinned parallelism: timing-sensitive suites must pass on a
+# 1-CPU and a 2-CPU schedule whatever the host's core count. -count=1
+# because the test cache does not key on GOMAXPROCS.
+GOMAXPROCS=1 go test -count=1 ./...
+GOMAXPROCS=2 go test -count=1 ./...
+
 # Multi-producer ingestion stress, repeated under the race detector: one
 # pass rarely covers the interleavings of concurrent SendBatch producers,
-# the parallel wire pipeline, and Stats/Checkpoint barriers.
+# a wire ingest committing offsets, and Stats/Checkpoint barriers.
 go test -race -run TestParallelIngestStress -count 5 ./engine/
 
 # Warm-standby failover chaos soak under the race detector: repeated

@@ -19,8 +19,8 @@ import (
 )
 
 // Dialer connects producers and subscribers to a punctserve server,
-// with RetryReader-style capped jittered exponential backoff on every
-// (re)connection attempt. The zero value needs only Addr.
+// with capped jittered exponential backoff on every (re)connection
+// attempt. The zero value needs only Addr.
 //
 // For a replicated deployment list every candidate in Addrs: clients
 // rotate through them on connection failure, follow PSER1 redirects to
@@ -376,8 +376,12 @@ type Producer struct {
 	err   error
 
 	// ReplayFromAck, when true, replays from the durable ack floor on
-	// every reconnect instead of the server's resume offset — maximal
-	// duplication, for exercising the server's dedup path in tests.
+	// the first handshake of every reconnect instead of the server's
+	// resume offset — maximal duplication, for exercising the server's
+	// dedup path in tests. Later attempts of the same reconnect replay
+	// from the resume offset: acks are only read after a handshake, so
+	// a duplicate prefix longer than one connection carries before it
+	// breaks would otherwise be resent, and cut, on every attempt.
 	ReplayFromAck bool
 }
 
@@ -404,6 +408,7 @@ func (s producerSink) Write(b []byte) (int, error) {
 // handshakes, and replays the needed suffix of the buffer.
 func (p *Producer) reconnectLocked() error {
 	gen := p.gen + 1
+	fromAck := p.ReplayFromAck
 	conn, br, err := p.d.connect(p.sess, func(c net.Conn, br *bufio.Reader) error {
 		if _, err := c.Write(appendHello(nil, hello{role: roleProduce, token: p.d.AuthToken, name: p.source, epoch: p.sess.epoch})); err != nil {
 			return err
@@ -420,8 +425,9 @@ func (p *Producer) reconnectLocked() error {
 			return fmt.Errorf("server: resume offset: %w", err)
 		}
 		start := int64(resume)
-		if p.ReplayFromAck && p.acked >= 0 && p.acked < start {
+		if fromAck && p.acked >= 0 && p.acked < start {
 			start = p.acked
+			fromAck = false
 		}
 		if start < p.base {
 			return fmt.Errorf("%w: server resumes at %d, buffer trimmed to %d", ErrBadResume, start, p.base)

@@ -278,6 +278,11 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 
 	dl := testDialer(sock)
 	subDl, prodDl := dl, dl
+	// attached gets one signal per subscriber connection the server
+	// answered. serveSubscriber attaches the delivery cursor before it
+	// writes the handshake reply, so a signal means the answering server
+	// will drain this subscriber on a graceful Shutdown.
+	attached := make(chan struct{}, 4)
 	if chaos != nil {
 		// ChaosDialer needs a base dial func; build it from the addr.
 		base := func() (net.Conn, error) { return net.Dial("unix", sock) }
@@ -287,6 +292,21 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 		p.Dial = faultinject.ChaosDialer(base, c1)
 		s.Dial = faultinject.ChaosDialer(base, c2)
 		prodDl, subDl = &p, &s
+	} else {
+		s := *dl
+		s.Dial = func() (net.Conn, error) {
+			c, err := net.Dial("unix", sock)
+			if err != nil {
+				return nil, err
+			}
+			return &replyConn{Conn: c, onReply: func() {
+				select {
+				case attached <- struct{}{}:
+				default:
+				}
+			}}, nil
+		}
+		subDl = &s
 	}
 
 	sub, err := subDl.Subscribe(testQuery)
@@ -351,6 +371,19 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 		}
 		return
 	}
+	// Shutdown ends the streams of attached subscribers only; one still
+	// in reconnect backoff would find the socket gone. Wait for the
+	// subscriber to re-attach to the restarted server first: its first
+	// connection (to srv) signalled during Subscribe, and srv's accept
+	// loop was closed by Kill, so the next signal comes from srv2.
+	<-attached
+	select {
+	case <-attached:
+	case err := <-errc:
+		t.Fatalf("subscriber ended before re-attaching: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("subscriber never re-attached to the restarted server")
+	}
 	if err := srv2.Shutdown(); err != nil {
 		t.Fatalf("shutdown after failover: %v", err)
 	}
@@ -358,6 +391,22 @@ func runFailover(t *testing.T, feed []workload.Input, want []string, k int, chao
 		t.Fatalf("subscriber after failover: %v", err)
 	}
 	requireSameStream(t, "failover", deliveryStrings(<-got), want)
+}
+
+// replyConn calls onReply once, when the first bytes arrive: the
+// server's handshake reply.
+type replyConn struct {
+	net.Conn
+	once    sync.Once
+	onReply func()
+}
+
+func (c *replyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.once.Do(c.onReply)
+	}
+	return n, err
 }
 
 func TestSourceBusy(t *testing.T) {
